@@ -314,17 +314,27 @@ def build_cache(config: Optional[CacheConfig] = None) -> CacheDesign:
     return CacheDesign(netlist=netlist, metadata=metadata, config=cfg)
 
 
-def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
-                         instrumented: bool = False):
-    """Reactive driver feeding (is_store, addr, data) requests.
+@dataclass(frozen=True)
+class cache_driver_factory:
+    """Reactive-driver factory feeding (is_store, addr, data) requests.
 
     Request i is tagged with PC ``slot_pc(i)``.  ``requests`` items may
     also be the string "quiesce" (wait for pipe_quiesce) or "flush"
-    (pulse taint_flush -- Assumption 3).
+    (pulse taint_flush -- Assumption 3).  Calling the factory returns a
+    fresh driver; factories over equal arguments compare equal.
     """
-    requests = tuple(requests)
 
-    def factory():
+    requests: Tuple
+    taint: Optional[TaintSpec] = None
+    instrumented: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "requests", tuple(self.requests))
+
+    def __call__(self):
+        requests, taint, instrumented = (
+            self.requests, self.taint, self.instrumented
+        )
         state = {"phase": 0, "driving": False, "issued": 0}
 
         def driver(t, prev_obs):
@@ -371,8 +381,6 @@ def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
             return inputs
 
         return driver
-
-    return factory
 
 
 class CacheContextProvider:

@@ -69,21 +69,28 @@ class TaintSpec:
 ScriptItem = Tuple
 
 
-def program_driver_factory(
-    script: Sequence[ScriptItem],
-    taint: Optional[TaintSpec] = None,
-    instrumented: bool = False,
-):
-    """Build a reactive-driver factory executing ``script``.
+@dataclass(frozen=True)
+class program_driver_factory:
+    """Reactive-driver factory executing ``script``.
 
     The driver replays each instruction until the fetch interface accepts
     it (``fetch_ready`` observed high while driving ``in_valid``), waits
     for pipeline quiescence on ``wait_quiesce`` items, and pulses
     ``taint_flush`` for one cycle on ``flush`` items (Assumption 3).
+    Calling the factory returns a fresh driver.  Factories over equal
+    arguments compare equal, so equal stimuli share one simulation
+    (:func:`repro.mc.enumerative.stimulus_key`).
     """
-    script = tuple(script)
 
-    def factory():
+    script: Tuple[ScriptItem, ...]
+    taint: Optional[TaintSpec] = None
+    instrumented: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "script", tuple(self.script))
+
+    def __call__(self):
+        script, taint, instrumented = self.script, self.taint, self.instrumented
         state = {"phase": 0, "ptr": 0, "idle": 0, "driving": False}
 
         def driver(t, prev_obs):
@@ -144,8 +151,6 @@ def program_driver_factory(
             return inputs
 
         return driver
-
-    return factory
 
 
 # ------------------------------------------------------- program execution

@@ -260,14 +260,22 @@ def build_cva6_op(config: Optional[OpPackConfig] = None) -> CoreDesign:
     return CoreDesign(netlist=netlist, metadata=metadata, config=cfg)
 
 
-def oppack_driver_factory(pairs):
-    """Reactive driver feeding instruction pairs to CVA6-OP.
+@dataclass(frozen=True)
+class oppack_driver_factory:
+    """Reactive-driver factory feeding instruction pairs to CVA6-OP.
 
-    ``pairs``: sequence of (instr0_word, instr1_word_or_None).
+    ``pairs``: sequence of (instr0_word, instr1_word_or_None).  Calling
+    the factory returns a fresh driver; factories over equal pairs
+    compare equal.
     """
-    pairs = tuple(pairs)
 
-    def factory():
+    pairs: Tuple[Tuple[int, Optional[int]], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+
+    def __call__(self):
+        pairs = self.pairs
         state = {"ptr": 0, "driving": False}
 
         def driver(t, prev_obs):
@@ -286,5 +294,3 @@ def oppack_driver_factory(pairs):
             return inputs
 
         return driver
-
-    return factory

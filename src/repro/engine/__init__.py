@@ -12,8 +12,8 @@ This package is the reproduction's systematic answer:
 
 * :mod:`repro.engine.specs` -- declarative, picklable job specifications
   that rebuild the design / context provider inside worker processes
-  (reactive context drivers are closures and cannot cross a process
-  boundary, so jobs ship *recipes*, not objects);
+  (a reactive context's driver factory may be any callable, and
+  netlists are large, so jobs ship *recipes*, not objects);
 * :mod:`repro.engine.scheduler` -- a job executor fanning work across a
   ``ProcessPoolExecutor`` with per-job wall-clock deadlines and automatic
   retry-with-escalated-conflict-budget for UNDETERMINED outcomes;

@@ -67,7 +67,6 @@ paths without real process churn.
 
 from __future__ import annotations
 
-import _thread
 import os
 import random
 import signal
@@ -245,9 +244,11 @@ def _rss_guard(max_rss_mb: Optional[float], tripped: List[float]):
     """Abort the body with :class:`MemoryBudgetExceeded` when this
     process's RSS crosses ``max_rss_mb``.
 
-    A daemon watcher thread samples the RSS and interrupts the main
-    thread (jobs run on the worker's / inline caller's main thread);
-    the interrupt is translated here, and callers additionally check
+    A daemon watcher thread samples the RSS and sends SIGINT to the main
+    thread (jobs run on the worker's / inline caller's main thread).  A
+    real signal, unlike ``_thread.interrupt_main()``, also wakes a main
+    thread blocked in a system call such as ``time.sleep``.  The
+    interrupt is translated here, and callers additionally check
     ``tripped`` to classify an interrupt delivered after the body
     finished.  A no-op when ``max_rss_mb`` is falsy.
     """
@@ -255,14 +256,16 @@ def _rss_guard(max_rss_mb: Optional[float], tripped: List[float]):
         yield
         return
     stop = threading.Event()
+    main_ident = threading.main_thread().ident
 
     def _watch():
         while not stop.wait(0.02):
             rss = current_rss_mb()
             if rss is not None and rss > max_rss_mb:
                 tripped.append(rss)
-                if not stop.is_set():
-                    _thread.interrupt_main()
+                # SIGINT under SIG_DFL would kill the process outright
+                if not stop.is_set() and callable(signal.getsignal(signal.SIGINT)):
+                    signal.pthread_kill(main_ident, signal.SIGINT)
                 return
 
     watcher = threading.Thread(target=_watch, name="rss-guard", daemon=True)

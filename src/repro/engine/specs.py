@@ -1,8 +1,8 @@
 """Declarative, picklable job specifications.
 
-Worker processes cannot receive the live pipeline objects: reactive
-verification contexts hold driver *closures* (see
-:func:`repro.designs.harness.program_driver_factory`) and netlists are
+Worker processes do not receive the live pipeline objects: a reactive
+verification context's driver factory may be any callable (see
+:class:`repro.designs.harness.program_driver_factory`) and netlists are
 large shared-structure DAGs.  Jobs therefore carry **recipes** -- a design
 kind plus its build-time config, a provider kind plus its family config --
 and every worker rebuilds (and memoizes) the objects locally.  Builders

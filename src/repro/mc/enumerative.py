@@ -37,6 +37,7 @@ __all__ = [
     "TraceDB",
     "EnumerativeEngine",
     "simulate_context",
+    "stimulus_key",
 ]
 
 
@@ -71,7 +72,9 @@ class ReactiveContext:
     ``driver_factory()`` returns a fresh callable ``f(t, prev_obs) -> dict``
     invoked once per cycle; ``prev_obs`` is the previous cycle's observation
     dict (None at t=0), letting program drivers replay instructions until
-    the DUV's fetch interface accepts them.
+    the DUV's fetch interface accepts them.  The factory must be
+    deterministic: equal factories drive equal stimuli (see
+    :func:`stimulus_key`).
     """
 
     reset_overrides: Tuple[Tuple[str, int], ...]
@@ -131,20 +134,49 @@ def simulate_context(simulator: Simulator, context) -> List[Tuple[int, ...]]:
     ]
 
 
+def stimulus_key(context) -> Tuple:
+    """Content key of ``context``: every field but its ``label``.
+
+    Contexts with equal keys drive the same stimulus and so simulate to
+    the same rows.  The harness driver factories are frozen dataclasses
+    compared by value; any other factory compares by identity.
+    """
+    if isinstance(context, ReactiveContext):
+        return (context.reset_overrides, context.driver_factory,
+                context.horizon, context.feedback_signals)
+    return (context.reset_overrides, context.input_sequence)
+
+
 class TraceDB:
-    """Simulated traces for a context family, reusable across many queries."""
+    """Simulated traces for a context family, reusable across many queries.
+
+    Each distinct :func:`stimulus_key` is simulated once; contexts with
+    the same key share one view.  ``contexts`` and ``views`` stay
+    parallel, one entry per context in the given order.
+    """
 
     def __init__(self, netlist: Netlist, contexts: Iterable, complete: bool):
         self.netlist = netlist
         self.complete = complete
         self.contexts: List = []
         self.views: List[ConcreteTraceView] = []
-        simulator = Simulator(netlist)
-        names = simulator.observable_names
-        for context in contexts:
-            rows = simulate_context(simulator, context)
-            self.contexts.append(context)
-            self.views.append(ConcreteTraceView(rows, names=names))
+        with obs.span("tracedb.build", netlist=netlist.name) as sp:
+            simulator = Simulator(netlist)
+            names = simulator.observable_names
+            by_key: Dict[Tuple, ConcreteTraceView] = {}
+            cycles = 0
+            for context in contexts:
+                key = stimulus_key(context)
+                view = by_key.get(key)
+                if view is None:
+                    rows = simulate_context(simulator, context)
+                    cycles += len(rows)
+                    view = by_key[key] = ConcreteTraceView(rows, names=names)
+                self.contexts.append(context)
+                self.views.append(view)
+            sp.set("contexts", len(self.contexts))
+            sp.set("simulated", len(by_key))
+            sp.set("cycles", cycles)
 
     def __len__(self):
         return len(self.views)

@@ -643,6 +643,48 @@ class TestCoverWitnessCertificates:
         assert bad["verified"] is False
         assert certificate_failed(bad)
 
+    def test_tampered_shared_view_fails(self, core_design, core_provider):
+        """Duplicate contexts share one TraceDB view; tampering that view
+        forges both contexts' paths, and replay still catches it."""
+        import dataclasses
+
+        from repro.core.rtl2mupath import VisitIndex, _CoverCertifier
+        from repro.mc.enumerative import TraceDB
+
+        # ADD behind a neighbour: its contexts take several distinct paths
+        group = next(
+            g for g in core_provider.mupath_groups("ADD")
+            if g.label == "preceded"
+        )
+        first = group.contexts[0]
+        twin = dataclasses.replace(first, label=first.label + "|twin")
+        db = TraceDB(core_design.netlist, [first, twin], group.complete)
+        assert db.views[0] is db.views[1]
+        honest = VisitIndex(db, core_design.metadata, group.iuv_pc).paths[0]
+
+        # overwrite the shared rows with another context's execution
+        shared = db.views[0]
+        for context in group.contexts[1:]:
+            shared.cycles = TraceDB(
+                core_design.netlist, [context], True
+            ).views[0].cycles
+            index = VisitIndex(db, core_design.metadata, group.iuv_pc)
+            if index.paths[1].visits != honest.visits:
+                break
+        else:
+            pytest.fail("family has no context with a different path")
+        assert index.paths[0] == index.paths[1]
+
+        certifier = _CoverCertifier(
+            core_design.netlist, core_design.metadata.pls, FULL
+        )
+        certifier.add_index(db, index)
+        forged = index.paths[1]
+        pred = lambda p, want=forged.pl_set: want <= p.pl_set
+        bad = certifier.certify("cover_shared_forged", forged, pred)
+        assert bad["verified"] is False
+        assert certificate_failed(bad)
+
     def test_spot_mode_samples_covers(self, core_design, core_provider):
         from repro.core.rtl2mupath import Rtl2MuPath, Rtl2MuPathConfig
 

@@ -154,6 +154,17 @@ class FatJob(FakeJob):
         return len(ballast), []
 
 
+@dataclass(frozen=True)
+class SleepyJob(FakeJob):
+    """Blocks in a 2s sleep at once, allocating nothing."""
+
+    job_id: str = "fake:sleepy"
+
+    def execute(self):
+        time.sleep(2.0)
+        return "slept", []
+
+
 def fake_jobs(n, keyed=False):
     return [
         FakeJob(job_id="fake:%d" % i, key=("%02d" % i) * 32 if keyed else None)
@@ -431,6 +442,28 @@ class TestRssCeiling:
         # aborted by the watcher, well before the 2s sleep finished
         assert time.perf_counter() - started < 1.9
         assert outcome["fake:fat"] is None
+        manifest = outcome.manifest
+        assert manifest.rss_aborts == 1
+        assert manifest.jobs_failed == 1
+        assert manifest.reconciles(stats)
+
+    def test_trip_wakes_a_sleeping_attempt(self):
+        """The watcher trips only once the job already sleeps: the abort
+        must interrupt the blocking call, not wait for it to return."""
+        from repro.engine.scheduler import current_rss_mb
+
+        rss = current_rss_mb()
+        if rss is None:
+            pytest.skip("RSS not readable on this platform")
+        engine = JobScheduler(
+            EngineConfig(jobs=1, max_attempts=1, keep_going=True,
+                         max_rss_mb=rss / 2)
+        )
+        stats = PropertyStats(label="t")
+        started = time.perf_counter()
+        outcome = engine.run([SleepyJob()], stats=stats)
+        assert time.perf_counter() - started < 0.5
+        assert outcome["fake:sleepy"] is None
         manifest = outcome.manifest
         assert manifest.rss_aborts == 1
         assert manifest.jobs_failed == 1

@@ -58,6 +58,13 @@ class TestCounter:
         with pytest.raises(KeyError):
             sim.step({"bogus": 1})
 
+    def test_unknown_inputs_named_among_known(self):
+        sim = Simulator(self._counter())
+        with pytest.raises(KeyError, match=r"unknown inputs: \['bogus', 'zz'\]"):
+            sim.step_tuple({"en": 1, "zz": 0, "bogus": 1})
+        assert sim.cycle == 0
+        assert sim.step_tuple({"en": 1}) == (0,)
+
     def test_missing_inputs_default_zero(self):
         sim = Simulator(self._counter())
         assert sim.step({})["value"] == 0
