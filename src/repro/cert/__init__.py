@@ -38,7 +38,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..obs import span as _span
 from ..obs.metrics import REGISTRY
@@ -55,6 +55,7 @@ __all__ = [
     "checked_certificates",
     "strip_payload",
     "drat_certificate",
+    "proof_leg",
     "witness_certificate",
     "cover_witness_certificate",
     "replay_witness",
@@ -158,7 +159,15 @@ def make_certificate(
     dropped payload keeps its digest, so cache and wire spot checks can
     still prove the bytes they *do* see are the bytes that were checked.
     """
-    data = canonical_payload_bytes(payload)
+    return _bundle(
+        kind, canonical_payload_bytes(payload), status, detail, policy,
+        lambda data: payload,
+    )
+
+
+def _bundle(kind, data: bytes, status, detail, policy, payload) -> dict:
+    """A bundle over canonical bytes ``data``; ``payload(data)`` builds the
+    payload, called only when it fits under the policy's limit."""
     cert = {
         "kind": kind,
         "status": status,
@@ -171,7 +180,7 @@ def make_certificate(
         cert["detail"] = detail
     limit = policy.payload_limit if policy is not None else 2_000_000
     if len(data) <= limit:
-        cert["payload"] = payload
+        cert["payload"] = payload(data)
     else:
         cert["payload"] = None
         cert["payload_dropped"] = True
@@ -227,8 +236,28 @@ def note_uncaught(count: int) -> None:
 
 
 # ------------------------------------------------------------- DRAT bundles
+def proof_leg(solver, checker, policy: CertifyPolicy, name: str) -> tuple:
+    """Snapshot one proof leg of ``solver``'s latest UNSAT answer.
+
+    Call it while the verdict is fresh: later queries on a shared
+    incremental context append to the same log.  A leg the policy will
+    check is ``(checker, entry_count, final)``, where ``checker`` is the
+    log's :class:`~.drat.ProofLogChecker` (owned by whatever owns the
+    solver; ``None`` builds a one-off checker); any other leg is the
+    bare ``(entry_count, final)``.
+    """
+    leg = (solver.proof_length(), solver.final_lemma())
+    if not policy.should_check_proof(name):
+        return leg
+    if checker is None:
+        from .drat import ProofLogChecker
+
+        checker = ProofLogChecker(solver.proof_log)
+    return (checker,) + leg
+
+
 def drat_certificate(
-    legs: Dict[str, Tuple[Sequence, Sequence[int]]],
+    legs: Dict[str, tuple],
     policy: CertifyPolicy,
     name: str = "",
     overflow: bool = False,
@@ -236,16 +265,18 @@ def drat_certificate(
     """Build (and per policy, check) a DRAT certificate over proof legs.
 
     ``legs`` maps a leg label (``base`` / ``step`` for k-induction,
-    ``proof`` for plain BMC exhaustion) to ``(entries, final)`` where
-    ``entries`` is the solver's proof log slice and ``final`` the
-    terminal lemma (empty tuple = empty clause).  All legs must verify
-    for the certificate to verify; a budget/overflow skip on any leg
-    demotes the whole bundle to unchecked rather than failed.
+    ``proof`` for plain BMC exhaustion) to a :func:`proof_leg`: a
+    checked leg is ``(checker, entry_count, final)`` -- the prefix
+    ``[0, entry_count)`` of the checker's log plus the terminal lemma
+    (empty tuple = empty clause) -- and an unchecked one the bare
+    ``(entry_count, final)``.  All legs must verify for the certificate
+    to verify; a budget/overflow skip on any leg demotes the whole
+    bundle to unchecked rather than failed.
 
-    For a query the policy will *not* check (spot-unsampled), a leg's
-    ``entries`` may be a bare int (the solver's ``proof_length()``)
-    instead of the materialized log -- the engines use this to skip the
-    snapshot copy of a shared incremental log entirely.
+    The payload is ``{"legs": {label: {"entries": [[tag, lits], ...],
+    "final": lits}}}``; its digest is taken over the checkers' cached
+    entry encodings, and the dict itself is only built when it fits
+    under the policy's payload limit.
     """
     from . import drat
 
@@ -256,20 +287,12 @@ def drat_certificate(
         # bundle is digest-only from birth; its digest pins the proof
         # *shape* (per-leg entry counts + final lemma), which is all an
         # unchecked bundle can vouch for.
-        shape = {
-            label: {
-                "entries": entries if isinstance(entries, int)
-                else len(entries),
-                "final": list(final),
-            }
-            for label, (entries, final) in legs.items()
-        }
         status = "overflow" if overflow else "skipped"
         cert = {
             "kind": "drat",
             "status": status,
             "verified": None,
-            "digest": payload_digest({"shape": shape}),
+            "digest": payload_digest({"shape": _proof_shape(legs)}),
             "payload": None,
             "payload_dropped": True,
         }
@@ -278,41 +301,72 @@ def drat_certificate(
         _CHECKS.inc(kind="drat", status=status)
         return cert
 
-    payload = {
-        "legs": {
-            label: {
-                "entries": [[tag, list(lits)] for tag, lits in entries],
-                "final": list(final),
-            }
-            for label, (entries, final) in legs.items()
-        }
-    }
-    if overflow:
-        return make_certificate(
-            "drat", payload, "overflow",
-            detail="proof log overflowed the retention cap", policy=policy,
-        )
     status = "verified"
     detail = ""
+    work = {"entries_ingested": 0, "lemmas_checked": 0, "lemmas_reused": 0}
     started = time.perf_counter()
     with _span("cert.check", kind="drat", query=name) as sp:
-        for label, (entries, final) in legs.items():
-            if len(entries) > policy.proof_limit:
-                status, detail = "budget", f"{label}: {len(entries)} entries"
+        try:
+            for label, (checker, count, _final) in legs.items():
+                work["entries_ingested"] += checker.ingest(count)
+        except drat.ProofLogError as exc:
+            # the log is not the one its verified lemmas came from: the
+            # payload can only pin the proof shape
+            status, detail = "failed", f"{label}: {exc}"
+            data = canonical_payload_bytes({"shape": _proof_shape(legs)})
+        else:
+            data = _drat_payload_bytes(legs)
+            if overflow:
+                status = "overflow"
+                detail = "proof log overflowed the retention cap"
+        for label, (checker, count, final) in legs.items():
+            if status != "verified":
+                break
+            if count > policy.proof_limit:
+                status, detail = "budget", f"{label}: {count} entries"
                 break
             remaining = policy.time_budget - (time.perf_counter() - started)
-            outcome = drat.check_proof(
-                entries, final, max_seconds=max(0.1, remaining)
+            outcome = checker.check(
+                final, count, max_seconds=max(0.1, remaining)
             )
+            work["lemmas_checked"] += outcome.lemmas_checked
+            work["lemmas_reused"] += outcome.lemmas_reused
             if outcome.status == "budget":
                 status, detail = "budget", f"{label}: {outcome.detail}"
-                break
-            if outcome.status != "ok":
+            elif outcome.status != "ok":
                 status, detail = "failed", f"{label}: {outcome.detail}"
-                break
         sp.set("status", status)
+        for key, value in work.items():
+            sp.set(key, value)
     _CHECK_SECONDS.observe(time.perf_counter() - started)
-    return make_certificate("drat", payload, status, detail=detail, policy=policy)
+    return _bundle("drat", data, status, detail, policy, json.loads)
+
+
+def _proof_shape(legs) -> dict:
+    """Per-leg entry count and final lemma (``leg[-2]``, ``leg[-1]``)."""
+    return {
+        label: {"entries": leg[-2], "final": list(leg[-1])}
+        for label, leg in legs.items()
+    }
+
+
+def _drat_payload_bytes(legs) -> bytes:
+    """``canonical_payload_bytes`` of the DRAT payload, from the checkers'
+    cached entry encodings."""
+    parts = [b'{"legs":{']
+    for i, label in enumerate(sorted(legs)):
+        checker, count, final = legs[label]
+        parts += [
+            b"," if i else b"",
+            canonical_payload_bytes(label),
+            b':{"entries":[',
+            checker.encoded(count),
+            b'],"final":',
+            canonical_payload_bytes(list(final)),
+            b"}",
+        ]
+    parts.append(b"}}")
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------- witness bundles

@@ -96,6 +96,13 @@ class BmcContext:
         self.stats = stats
 
         self.solver = SatSolver(preprocess=preprocess, proof=self.certify.enabled)
+        # parses the shared proof log once for every certificate cut
+        # from it (repro.cert.drat)
+        self.proof_checker = None
+        if self.certify.enabled:
+            from ..cert.drat import ProofLogChecker
+
+            self.proof_checker = ProofLogChecker(self.solver.proof_log)
         self.builder = BitBuilder(self.solver)
         self.frames: List[Frame] = []
         self._frozen_frames = 0
@@ -266,17 +273,13 @@ class BmcContext:
 
     def _drat_certificate(self, query: Query) -> Dict:
         """Bundle the solver's proof log for this UNSAT answer (repro.cert)."""
-        from ..cert import drat_certificate
+        from ..cert import drat_certificate, proof_leg
 
-        # spot-unsampled queries get a count-only leg: no snapshot copy
-        # of the shared incremental log (see drat_certificate)
-        entries = (
-            self.solver.proof_entries()
-            if self.certify.should_check_proof(query.name)
-            else self.solver.proof_length()
+        leg = proof_leg(
+            self.solver, self.proof_checker, self.certify, query.name
         )
         return drat_certificate(
-            {"proof": (entries, self.solver.final_lemma())},
+            {"proof": leg},
             self.certify,
             name=query.name,
             overflow=self.solver.proof_overflowed(),

@@ -45,6 +45,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
+from ..cert import proof_leg
 from ..obs.metrics import REGISTRY
 from ..props.exprs import CycleExpr
 from ..props.views import SymbolicOps, SymbolicTraceView
@@ -79,6 +80,13 @@ class _Unrolling:
     ):
         self.netlist = netlist
         self.solver = SatSolver(preprocess=preprocess, proof=proof)
+        # parses this solver's proof log once for every certificate
+        # cut from it (repro.cert.drat)
+        self.proof_checker = None
+        if proof:
+            from ..cert.drat import ProofLogChecker
+
+            self.proof_checker = ProofLogChecker(self.solver.proof_log)
         self.builder = BitBuilder(self.solver)
         self.frames: List = []
         self._frozen_frames = 0
@@ -346,17 +354,12 @@ class IncrementalInductionContext:
                 base_delta = dict(base.solver.last_solve)
                 # snapshot the proof leg while the verdict is fresh: later
                 # properties (and their retraction units) append to the
-                # same shared log.  For a query the policy won't check
-                # (spot-unsampled) the leg carries just the log length --
-                # copying the whole shared log per query is the dominant
-                # spot-mode cost otherwise.
+                # same shared log
                 base_leg = None
                 if self.certify.enabled and verdict == UNSAT:
-                    base_leg = (
-                        base.solver.proof_entries()
-                        if self.certify.should_check_proof(query_name)
-                        else base.solver.proof_length(),
-                        base.solver.final_lemma(),
+                    base_leg = proof_leg(
+                        base.solver, base.proof_checker, self.certify,
+                        query_name,
                     )
             if verdict == SAT:
                 witness = [
@@ -419,11 +422,9 @@ class IncrementalInductionContext:
                 # certificate
                 step_leg = None
                 if self.certify.enabled and verdict == UNSAT:
-                    step_leg = (
-                        step.solver.proof_entries()
-                        if self.certify.should_check_proof(query_name)
-                        else step.solver.proof_length(),
-                        step.solver.final_lemma(),
+                    step_leg = proof_leg(
+                        step.solver, step.proof_checker, self.certify,
+                        query_name,
                     )
                 step.solver.retract(act)
                 merged: Dict[str, int] = {}

@@ -220,19 +220,18 @@ def prove_unreachable_kinduction(
         if verdict == UNSAT:
             certificate = None
             if policy.enabled:
-                from ..cert import drat_certificate
+                from ..cert import drat_certificate, proof_leg
 
                 # the base leg is also UNSAT here (REACHABLE returned
-                # above), so both legs of the unbounded proof are bundled
+                # above), so both legs of the unbounded proof are bundled;
+                # fresh solvers, so each checked leg gets a one-off checker
                 certificate = drat_certificate(
                     {
-                        "base": (
-                            base_solver.proof_entries(),
-                            base_solver.final_lemma(),
+                        "base": proof_leg(
+                            base_solver, None, policy, query_name
                         ),
-                        "step": (
-                            step_solver.proof_entries(),
-                            step_solver.final_lemma(),
+                        "step": proof_leg(
+                            step_solver, None, policy, query_name
                         ),
                     },
                     policy,

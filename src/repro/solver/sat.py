@@ -233,10 +233,10 @@ class SatSolver:
         # layout) -- so the multi-hundred-thousand-entry log adds zero
         # GC-tracked objects: the per-entry tuples made the collector's
         # first post-build scan the dominant ``--certify spot`` cost.
-        # proof_entries() reconstructs tuples on demand (sampled
-        # certificates only).  None = logging off; the log is
-        # append-only so incremental contexts can snapshot [0:n) slices
-        # per certificate.
+        # proof_entries() reconstructs tuples on demand (tests and
+        # tools); certificates read the flat buffers in place through
+        # proof_log().  None = logging off; the log is append-only so
+        # incremental contexts certify [0:n) prefixes of it.
         self._proof_tags: Optional[bytearray] = bytearray() if proof else None
         self._proof_lits = _array("q") if proof else None
         self._proof_overflow = False
@@ -1282,12 +1282,21 @@ class SatSolver:
     def proof_overflowed(self) -> bool:
         return self._proof_overflow
 
+    def proof_log(self):
+        """The live flat proof log ``(tags, lits)``; callers only read it.
+
+        No copy: the buffers are append-only, so a reader that remembers
+        how far it got (``repro.cert.drat.ProofLogChecker``) parses each
+        entry once however many certificates share the log.
+        """
+        return self._proof_tags, self._proof_lits
+
     def proof_entries(self, start: int = 0, stop: Optional[int] = None):
         """A snapshot slice of the proof log (list of (tag, lits) tuples).
 
         Reconstructs the tuple view from the flat tag/literal streams;
-        only certificate-sampled queries pay this, the hot logging path
-        never allocates per-entry objects.
+        only tests and tools pay this (certificates read the streams in
+        place), the hot logging path never allocates per-entry objects.
         """
         tags = self._proof_tags
         if tags is None:
