@@ -123,18 +123,27 @@ class MuPathResult:
 
 
 class VisitIndex:
-    """Per-(context group, IUV) aggregation of concrete visit profiles."""
+    """Per-(context group, IUV) aggregation of concrete visit profiles.
+
+    ``paths`` is parallel to the TraceDB's contexts; each distinct view's
+    path is extracted once and shared by every context of that view.
+    """
 
     def __init__(self, tracedb: TraceDB, metadata: DesignMetadata, iuv_pc: int):
         self.iuv_pc = iuv_pc
         self.complete = tracedb.complete
-        self.paths: List[CycleAccuratePath] = []
         pls = metadata.pls
+        by_view: Dict[int, CycleAccuratePath] = {}
         slot_index = None
-        for view in tracedb.views:
+        for _, view in tracedb.distinct:
             if slot_index is None:
                 slot_index = build_slot_index(pls, view.index)
-            self.paths.append(extract_path(view, pls, iuv_pc, slot_index=slot_index))
+            by_view[id(view)] = extract_path(
+                view, pls, iuv_pc, slot_index=slot_index
+            )
+        self.paths: List[CycleAccuratePath] = [
+            by_view[id(view)] for view in tracedb.views
+        ]
 
     def observed_sets(self) -> Counter:
         return Counter(path.pl_set for path in self.paths)
@@ -314,7 +323,7 @@ class Rtl2MuPath:
                     hit = any(
                         any(view.bit(slot.occ_signal, t) for slot in pl.slots)
                         for db in tracedbs
-                        for view in db.views
+                        for _, view in db.distinct
                         for t in range(view.horizon)
                     )
                     outcome = self._cover_outcome(
@@ -360,7 +369,7 @@ class Rtl2MuPath:
                         hit = any(
                             any(view.bit(slot.occ_signal, t) for slot in pl.slots)
                             for db in tracedbs
-                            for view in db.views
+                            for _, view in db.distinct
                             for t in range(view.horizon)
                         )
                         outcome = self._cover_outcome(hit, False)

@@ -187,7 +187,8 @@ class _TaintIndex:
                     )
                 )
         flush_taint_i = index.get("flush_fire__tainted")
-        for view in tracedb.views:
+        by_view = {}
+        for _, view in tracedb.distinct:
             visits: List[FrozenSet[str]] = []
             tainted: List[FrozenSet[str]] = []
             t_inflight: List[bool] = []
@@ -211,7 +212,8 @@ class _TaintIndex:
                 flush_tainted.append(
                     bool(row[flush_taint_i]) if flush_taint_i is not None else False
                 )
-            self.traces.append((visits, tainted, t_inflight, flush_tainted))
+            by_view[id(view)] = (visits, tainted, t_inflight, flush_tainted)
+        self.traces = [by_view[id(view)] for view in tracedb.views]
 
 
 class SynthLC:

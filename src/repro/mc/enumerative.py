@@ -150,9 +150,12 @@ def stimulus_key(context) -> Tuple:
 class TraceDB:
     """Simulated traces for a context family, reusable across many queries.
 
-    Each distinct :func:`stimulus_key` is simulated once; contexts with
-    the same key share one view.  ``contexts`` and ``views`` stay
-    parallel, one entry per context in the given order.
+    Each distinct :func:`stimulus_key` is simulated once, and contexts
+    whose rows are equal share one view: different stimuli often drive
+    a design to the same trace.  ``contexts`` and ``views`` stay
+    parallel, one entry per context in the given order; ``distinct``
+    holds ``(index of first context, view)`` for each distinct view, in
+    first-occurrence order, so per-view work can run once per view.
     """
 
     def __init__(self, netlist: Netlist, contexts: Iterable, complete: bool):
@@ -160,10 +163,12 @@ class TraceDB:
         self.complete = complete
         self.contexts: List = []
         self.views: List[ConcreteTraceView] = []
+        self.distinct: List[Tuple[int, ConcreteTraceView]] = []
         with obs.span("tracedb.build", netlist=netlist.name) as sp:
             simulator = Simulator(netlist)
             names = simulator.observable_names
             by_key: Dict[Tuple, ConcreteTraceView] = {}
+            by_rows: Dict[Tuple, ConcreteTraceView] = {}
             cycles = 0
             for context in contexts:
                 key = stimulus_key(context)
@@ -171,11 +176,18 @@ class TraceDB:
                 if view is None:
                     rows = simulate_context(simulator, context)
                     cycles += len(rows)
-                    view = by_key[key] = ConcreteTraceView(rows, names=names)
+                    content = tuple(rows)
+                    view = by_rows.get(content)
+                    if view is None:
+                        view = ConcreteTraceView(rows, names=names)
+                        by_rows[content] = view
+                        self.distinct.append((len(self.views), view))
+                    by_key[key] = view
                 self.contexts.append(context)
                 self.views.append(view)
             sp.set("contexts", len(self.contexts))
             sp.set("simulated", len(by_key))
+            sp.set("traces", len(self.distinct))
             sp.set("cycles", cycles)
 
     def __len__(self):
@@ -194,18 +206,22 @@ class EnumerativeEngine:
     def check(self, query: Query) -> CheckResult:
         start = time.perf_counter()
         ops = ConcreteOps
+        db = self.tracedb
         witness = None
-        outcome = UNREACHABLE if self.tracedb.complete else UNDETERMINED
-        scanned = 0
+        outcome = UNREACHABLE if db.complete else UNDETERMINED
+        # contexts sharing a view share its verdict, so each distinct view
+        # is evaluated once, at its first context: the scan stops at the
+        # same context, with the same depth, as a scan of every context
+        scanned = len(db)
         depth = 0
-        for context, view in zip(self.tracedb.contexts, self.tracedb.views):
-            scanned += 1
+        for first, view in db.distinct:
             depth = max(depth, view.horizon)
             if not self._satisfies_assumes(view, query.assumes):
                 continue
             if query.prop.evaluate(view, ops):
                 outcome = REACHABLE
                 witness = view.as_dicts()
+                scanned = first + 1
                 break
         elapsed = time.perf_counter() - start
         result = CheckResult(
@@ -214,10 +230,9 @@ class EnumerativeEngine:
             engine=self.name,
             witness=witness,
             time_seconds=elapsed,
-            detail="" if self.tracedb.complete else "context family truncated",
+            detail="" if db.complete else "context family truncated",
             depth=depth,
-            solver={"contexts_scanned": scanned,
-                    "contexts_total": len(self.tracedb)},
+            solver={"contexts_scanned": scanned, "contexts_total": len(db)},
         )
         if self.stats is not None:
             self.stats.record(result)
